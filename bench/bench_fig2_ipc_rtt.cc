@@ -4,7 +4,8 @@
 //
 // Substitutions (see DESIGN.md): we cannot load a kernel module, so the
 // Netlink role — a lower-overhead channel than Unix sockets — is played
-// by a shared-memory ring with an eventfd doorbell. The paper's second
+// by a shared-memory ring with an eventfd doorbell (blocking pairs
+// only; a busy-poll send makes no syscall). The paper's second
 // effect (IPC gets *faster* under high CPU utilization, because Intel
 // TurboBoost keeps the core clocked up and the receiver never takes a
 // scheduler wakeup) is reproduced by eliminating the wakeup: busy-poll

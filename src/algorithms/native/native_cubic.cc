@@ -5,7 +5,7 @@
 namespace ccp::algorithms::native {
 
 void NativeCubic::on_ack(const datapath::AckEvent& ev) {
-  if (!ev.rtt_sample.is_zero()) {
+  if (ev.has_rtt_sample()) {
     srtt_ = srtt_.is_zero()
                 ? ev.rtt_sample
                 : Duration::from_nanos(srtt_.nanos() +

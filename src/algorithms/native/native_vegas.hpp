@@ -16,7 +16,7 @@ class NativeVegas final : public NativeCcBase {
       : NativeCcBase(mss, init_cwnd_bytes), alpha_(alpha), beta_(beta) {}
 
   void on_ack(const datapath::AckEvent& ev) override {
-    if (ev.rtt_sample.is_zero() || ev.newly_lost_packets > 0) return;
+    if (!ev.has_rtt_sample() || ev.newly_lost_packets > 0) return;
     const double rtt_us = static_cast<double>(ev.rtt_sample.micros());
     base_rtt_us_ = std::min(base_rtt_us_, rtt_us);
     // Like tcp_vegas.c: evaluate the queue estimate and move the window

@@ -19,12 +19,16 @@ struct AckEvent {
   /// "same as bytes_acked" (convenience for hand-built events in tests).
   uint64_t bytes_delivered = 0;
   uint32_t packets_acked = 0;
-  Duration rtt_sample = Duration::zero();  // zero if no valid sample (e.g. rexmit)
+  Duration rtt_sample = Duration::zero();  // <= 0 if no valid sample (e.g. rexmit)
   bool ecn = false;             // ACK echoed an ECN mark
   uint32_t newly_lost_packets = 0;  // marked lost by dupack logic on this ACK
   uint64_t bytes_in_flight = 0;     // after this ACK
   uint32_t packets_in_flight = 0;
   uint64_t bytes_pending = 0;       // app data queued but unsent
+
+  /// Zero and negative samples are both "no sample", as in ccp-kernel's
+  /// rate_sample_valid: a negative RTT must never reach srtt or Pkt.rtt.
+  bool has_rtt_sample() const { return rtt_sample.nanos() > 0; }
 };
 
 /// Loss declared via fast retransmit (triple duplicate ACK).

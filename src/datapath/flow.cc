@@ -171,9 +171,9 @@ void CcpFlow::tune_rate_windows() {
 // per-ACK budget.
 void CcpFlow::fill_pkt_info(const AckEvent& ev) {
   lang::PktInfo& pkt = last_pkt_;
-  pkt.rtt_us = ev.rtt_sample.is_zero()
-                   ? hot_->srtt_us.value()
-                   : static_cast<double>(ev.rtt_sample.micros());
+  pkt.rtt_us = ev.has_rtt_sample()
+                   ? static_cast<double>(ev.rtt_sample.micros())
+                   : hot_->srtt_us.value();
   pkt.bytes_acked = static_cast<double>(ev.bytes_acked);
   pkt.packets_acked = static_cast<double>(ev.packets_acked);
   pkt.lost_packets = static_cast<double>(ev.newly_lost_packets);
@@ -213,7 +213,7 @@ void CcpFlow::measure_ack(const AckEvent& ev) {
     hot_->cwnd_bytes =
         std::min(hot_->cwnd_target_bytes, hot_->cwnd_bytes + ev.bytes_acked);
   }
-  if (!ev.rtt_sample.is_zero()) {
+  if (ev.has_rtt_sample()) {
     hot_->srtt_us.update(static_cast<double>(ev.rtt_sample.micros()));
   }
   rcv_rate_.on_bytes(ev.bytes_delivered > 0 ? ev.bytes_delivered : ev.bytes_acked,

@@ -54,7 +54,7 @@ class PrototypeFlow final : public CcModule {
       // Same smooth-increase discipline as the full datapath.
       cwnd_bytes_ = std::min(cwnd_target_bytes_, cwnd_bytes_ + ev.bytes_acked);
     }
-    if (!ev.rtt_sample.is_zero()) {
+    if (ev.has_rtt_sample()) {
       const double rtt_us = static_cast<double>(ev.rtt_sample.micros());
       srtt_us_.update(rtt_us);
       min_rtt_us_ = std::min(min_rtt_us_, rtt_us);

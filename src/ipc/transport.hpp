@@ -6,7 +6,7 @@
 //     this is the paper's "Unix domain socket" IPC (Figure 2).
 //   - ShmRingTransport: shared-memory SPSC ring with either busy-poll or
 //     eventfd-blocking receive; stands in for the paper's Netlink channel
-//     (see DESIGN.md substitutions).
+//     (see DESIGN.md substitutions). Busy-poll sends make no syscall.
 //   - InProcTransport: lock-protected queue pair for tests and for
 //     threads within one process.
 #pragma once
@@ -121,13 +121,18 @@ TransportPair make_inproc_pair();
 
 /// How the receiving side of a shm ring waits for data.
 enum class ShmWaitMode {
-  Blocking,  // eventfd wakeup: sleeps in the kernel, like Netlink recv
-  BusyPoll,  // spins on the ring head: models a dedicated/hot core (§2.3)
+  Blocking,  // eventfd wakeup: sleeps in the kernel, like Netlink recv;
+             // every send rings the eventfd
+  BusyPoll,  // spins on the ring head: models a dedicated/hot core (§2.3);
+             // nothing waits on the eventfd, so sending never rings it
 };
 
 /// Shared-memory ring channel (anonymous shared mapping; usable across
 /// fork()). `capacity_bytes` is per direction and rounded up to a power
-/// of two.
+/// of two. Unlike the socket pair, destroying either endpoint closes the
+/// channel for both sides, so after fork() each process keeps both
+/// endpoint objects alive while its peer runs (a child leaves with
+/// _exit()).
 TransportPair make_shm_ring_pair(size_t capacity_bytes, ShmWaitMode mode);
 
 /// Path-based SOCK_SEQPACKET listener, so out-of-process tools (e.g.

@@ -32,7 +32,7 @@ struct ShmChannel {
   size_t mem_size = 0;
   ShmRing ring_ab;
   ShmRing ring_ba;
-  int event_ab = -1;  // signaled when ring_ab gains data
+  int event_ab = -1;  // signaled when ring_ab gains data (Blocking only)
   int event_ba = -1;
   std::atomic<bool>* closed = nullptr;  // lives in the shared mapping
 
@@ -65,7 +65,12 @@ class ShmTransport final : public Transport {
       telemetry::metrics().ipc_ring_used_bytes.set(
           static_cast<int64_t>(tx().bytes_used()));
     }
-    ring_doorbell(tx_event());
+    // Only a Blocking receiver ever waits on the eventfd. The mode is
+    // per channel, so a BusyPoll send makes no syscall.
+    if (mode_ == ShmWaitMode::Blocking) {
+      ring_doorbell(tx_event());
+      if (telemetry::enabled()) telemetry::metrics().ipc_doorbells.inc();
+    }
     return true;
   }
 
@@ -178,7 +183,10 @@ TransportPair make_shm_ring_pair(size_t capacity_bytes, ShmWaitMode mode) {
 
   // NOTE: the two endpoints share one ShmChannel (and its fds). Across a
   // fork both processes inherit the fds and the shared mapping, so each
-  // process simply uses its own endpoint and destroys the other.
+  // process simply uses its own endpoint. Destroying an endpoint marks
+  // the channel closed for both sides, so a process must not destroy its
+  // copy of the peer's endpoint while the peer still talks (a forked
+  // child leaves with _exit()).
   return TransportPair{std::make_unique<ShmTransport>(ch, /*is_a=*/true, mode),
                        std::make_unique<ShmTransport>(ch, /*is_a=*/false, mode)};
 }

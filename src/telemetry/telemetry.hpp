@@ -115,6 +115,7 @@ struct Metrics {
   // -- ipc / transports --
   Counter ipc_ring_full;       // shm ring rejected a frame (backpressure)
   Counter ipc_send_failures;   // socket/inproc send failures
+  Counter ipc_doorbells;       // shm eventfd writes by Blocking-pair sends
 
   // -- resilience: fault injection (test/chaos harness activity) --
   Counter fault_drops;         // frames silently dropped by the injector

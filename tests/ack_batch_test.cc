@@ -330,5 +330,68 @@ TEST(AckBatch, OccupancyCountersAccount) {
   }
 }
 
+/// Pkt.rtt straight into a register plus a running minimum: a negative
+/// RTT sample that leaked past the "no sample" check shows in both.
+constexpr const char* kRttProgram = R"(
+fold {
+  rtt    := Pkt.rtt               init 0;
+  minrtt := min(minrtt, Pkt.rtt)  init 0x7fffffff;
+}
+control {
+  WaitRtts(1.0);
+  Report();
+}
+)";
+
+TEST(AckBatch, NegativeRttSampleIsNoSample) {
+  TelemetryGuard quiet(false);
+  JitModeGuard jit(JitMode::On);
+  Twin twin;
+  const TimePoint t0 = at_us(1000);
+  for (ipc::FlowId id = 1; id <= 2; ++id) {
+    twin.create(id, t0);
+    twin.install(install_msg(id, kRttProgram), t0);
+  }
+  auto burst_at = [](int64_t us, Duration rtt) {
+    std::vector<FlowAck> burst;
+    for (ipc::FlowId id = 1; id <= 2; ++id) {
+      FlowAck fa;
+      fa.flow_id = id;
+      fa.ev.now = at_us(us);
+      fa.ev.bytes_acked = 1460;
+      fa.ev.packets_acked = 1;
+      fa.ev.rtt_sample = rtt;
+      fa.ev.bytes_in_flight = 14600;
+      fa.ev.packets_in_flight = 10;
+      burst.push_back(fa);
+    }
+    return burst;
+  };
+  twin.drive(burst_at(2000, Duration::from_micros(10000)));
+  twin.drive(burst_at(2100, Duration::from_micros(10000)));
+
+  // The scalar side runs on_ack, the batch side on_ack_batch (both
+  // flows share one program, so the wave folds them together).
+  for (CcpDatapath* dp : {&twin.scalar, &twin.batch}) {
+    for (ipc::FlowId id = 1; id <= 2; ++id) {
+      const CcpFlow& flow = *dp->flow(id);
+      const lang::CompiledProgram& prog = *flow.fold().program();
+      ASSERT_EQ(flow.srtt(), Duration::from_micros(10000));
+      ASSERT_EQ(flow.fold().state()[prog.fold_index("rtt")], 10000.0);
+    }
+  }
+  twin.drive(burst_at(2200, Duration::from_micros(-5000)));
+  for (CcpDatapath* dp : {&twin.scalar, &twin.batch}) {
+    for (ipc::FlowId id = 1; id <= 2; ++id) {
+      const CcpFlow& flow = *dp->flow(id);
+      const lang::CompiledProgram& prog = *flow.fold().program();
+      EXPECT_EQ(flow.srtt(), Duration::from_micros(10000));
+      EXPECT_EQ(flow.fold().state()[prog.fold_index("rtt")], 10000.0);
+      EXPECT_EQ(flow.fold().state()[prog.fold_index("minrtt")], 10000.0);
+    }
+  }
+  twin.expect_equal_frames();
+}
+
 }  // namespace
 }  // namespace ccp::datapath

@@ -4,6 +4,7 @@
 // Figure 1 architecture with no simulator shortcuts.
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <thread>
 
 #include "agent/transport_loop.hpp"
@@ -15,6 +16,14 @@ namespace ccp {
 namespace {
 
 struct RealStack {
+  /// What the test thread may read of the agent. The agent lives on the
+  /// loop thread; this copy is refreshed there after every frame and
+  /// before every send, so anything the datapath sees already shows.
+  struct AgentView {
+    agent::AgentStats stats;
+    size_t num_flows = 0;
+  };
+
   ipc::TransportPair channel;
   std::unique_ptr<agent::CcpAgent> agent;
   std::unique_ptr<agent::TransportLoop> agent_loop;
@@ -25,17 +34,26 @@ struct RealStack {
     agent::AgentConfig cfg;
     cfg.default_algorithm = default_alg;
     agent = std::make_unique<agent::CcpAgent>(cfg, [this](std::span<const uint8_t> f) {
+      publish_view();
       channel.b->send_frame(f);
     });
     algorithms::register_builtin_algorithms(*agent);
     agent_loop = std::make_unique<agent::TransportLoop>(
-        *channel.b, [this](std::span<const uint8_t> f) { agent->handle_frame(f); });
+        *channel.b, [this](std::span<const uint8_t> f) {
+          agent->handle_frame(f);
+          publish_view();
+        });
     dp = std::make_unique<datapath::CcpDatapath>(
         datapath::DatapathConfig{},
         [this](std::span<const uint8_t> f) { channel.a->send_frame(f); });
   }
 
   ~RealStack() { agent_loop->stop(); }
+
+  AgentView agent_view() {
+    std::lock_guard<std::mutex> lock(view_mu_);
+    return view_;
+  }
 
   void pump(TimePoint now) {
     while (auto frame = channel.a->try_recv_frame()) {
@@ -55,6 +73,15 @@ struct RealStack {
     }
     return false;
   }
+
+ private:
+  void publish_view() {
+    std::lock_guard<std::mutex> lock(view_mu_);
+    view_ = {agent->stats(), agent->num_flows()};
+  }
+
+  std::mutex view_mu_;
+  AgentView view_;
 };
 
 datapath::AckEvent ack_now(uint64_t bytes = 1460) {
@@ -83,10 +110,10 @@ TEST_P(RealIpcTest, AgentInstallsProgramOverTheWire) {
   // default program also defines "acked", so distinguish by a register
   // only the default program has ("snd") having disappeared.
   ASSERT_TRUE(stack.wait_for([&] {
-    return stack.agent->stats().installs_sent >= 1 &&
+    return stack.agent_view().stats.installs_sent >= 1 &&
            flow.fold().program()->fold_index("snd") < 0;
   }));
-  EXPECT_EQ(stack.agent->stats().flows_created, 1u);
+  EXPECT_EQ(stack.agent_view().stats.flows_created, 1u);
   EXPECT_GE(flow.fold().program()->fold_index("acked"), 0);
 }
 
@@ -102,7 +129,7 @@ TEST_P(RealIpcTest, SlowStartGrowsWindowEndToEnd) {
     return flow.cwnd_bytes() > 2 * w0;
   });
   EXPECT_TRUE(grew);
-  EXPECT_GT(stack.agent->stats().measurements, 0u);
+  EXPECT_GT(stack.agent_view().stats.measurements, 0u);
 }
 
 TEST_P(RealIpcTest, UrgentLossRoundTripCutsWindow) {
@@ -114,7 +141,7 @@ TEST_P(RealIpcTest, UrgentLossRoundTripCutsWindow) {
   auto& flow = stack.dp->create_flow(datapath::FlowConfig{1460, 10 * 1460}, "vegas",
                                      monotonic_now());
   ASSERT_TRUE(stack.wait_for(
-      [&] { return stack.agent->stats().installs_sent >= 1; }));
+      [&] { return stack.agent_view().stats.installs_sent >= 1; }));
   // Grow to >20 packets (one packet per ~10 ms report)...
   ASSERT_TRUE(stack.wait_for(
       [&] {
@@ -129,16 +156,16 @@ TEST_P(RealIpcTest, UrgentLossRoundTripCutsWindow) {
   const bool halved = stack.wait_for(
       [&] { return flow.cwnd_bytes() < before * 3 / 4; });
   EXPECT_TRUE(halved);
-  EXPECT_GT(stack.agent->stats().urgents, 0u);
+  EXPECT_GT(stack.agent_view().stats.urgents, 0u);
 }
 
 TEST_P(RealIpcTest, FlowCloseReachesAgent) {
   RealStack stack(make_pair(), "reno");
   auto& flow = stack.dp->create_flow(datapath::FlowConfig{1460, 10 * 1460}, "reno",
                                      monotonic_now());
-  ASSERT_TRUE(stack.wait_for([&] { return stack.agent->num_flows() == 1; }));
+  ASSERT_TRUE(stack.wait_for([&] { return stack.agent_view().num_flows == 1; }));
   stack.dp->close_flow(flow.id(), monotonic_now());
-  EXPECT_TRUE(stack.wait_for([&] { return stack.agent->num_flows() == 0; }));
+  EXPECT_TRUE(stack.wait_for([&] { return stack.agent_view().num_flows == 0; }));
 }
 
 TEST_P(RealIpcTest, ManyFlowsMultiplexOneChannel) {
@@ -149,7 +176,7 @@ TEST_P(RealIpcTest, ManyFlowsMultiplexOneChannel) {
                                            i % 2 == 0 ? "reno" : "cubic",
                                            monotonic_now()));
   }
-  ASSERT_TRUE(stack.wait_for([&] { return stack.agent->num_flows() == 10; }));
+  ASSERT_TRUE(stack.wait_for([&] { return stack.agent_view().num_flows == 10; }));
   // Every flow independently reaches an installed program and grows.
   for (auto* flow : flows) {
     ASSERT_TRUE(stack.wait_for([&] { return flow->fold().installed(); }));

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "util/time.hpp"
 #include "util/units.hpp"
 
@@ -97,6 +99,11 @@ struct RoundTripCase {
   const char* text;
   double bps;
 };
+
+// Names each case by its input text: gtest_discover_tests labels value-
+// parameterized cases with the printed parameter, and the default byte dump
+// would include the string pointer, which changes from run to run.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.text; }
 
 class BandwidthRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 

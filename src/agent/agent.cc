@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "lang/compiler.hpp"
 #include "lang/error.hpp"
 #include "lang/parser.hpp"
 #include "lang/printer.hpp"
@@ -34,6 +35,41 @@ void apply_policy(lang::Program& prog, const Policy& policy) {
       }
     }
   }
+}
+
+}  // namespace
+
+/// What the agent derives from one program under its policy: the
+/// policy-rewritten, checked program text an Install carries, plus the
+/// layout its reports are decoded with. Immutable once built, so every
+/// flow running the program shares one copy.
+struct PreparedProgram {
+  std::string text;                      // printed, policy-applied program
+  std::vector<std::string> field_names;  // fold registers, report order
+  std::vector<std::string> var_names;    // $vars, UpdateFields order
+};
+
+namespace {
+
+/// Policy-rewrites, checks, and prints one program. Throws for a program
+/// the datapath must never see.
+std::shared_ptr<const PreparedProgram> prepare(lang::Program prog,
+                                               const Policy& policy) {
+  apply_policy(prog, policy);
+  // Reject bad programs here, before they ever reach the datapath.
+  lang::check_or_throw(prog);
+  auto out = std::make_shared<PreparedProgram>();
+  out->text = lang::print_program(prog);
+  for (const auto& reg : prog.folds) out->field_names.push_back(reg.name);
+  out->var_names = prog.vars;
+  return out;
+}
+
+/// The layout a flow decodes with before its first Install.
+const std::shared_ptr<const PreparedProgram>& empty_layout() {
+  static const std::shared_ptr<const PreparedProgram> empty =
+      std::make_shared<PreparedProgram>();
+  return empty;
 }
 
 double clamp_opt(double v, const std::optional<double>& lo,
@@ -74,8 +110,8 @@ std::vector<PktSample> Measurement::samples() const {
   return out;
 }
 
-/// Per-flow bookkeeping in the agent: the algorithm instance, the field
-/// names of the installed program (to decode positional reports), and the
+/// Per-flow bookkeeping in the agent: the algorithm instance, the layout
+/// of the installed program (to decode positional reports), and the
 /// FlowControl implementation handed to the algorithm.
 class CcpAgent::FlowEntry final : public FlowControl {
  public:
@@ -87,9 +123,11 @@ class CcpAgent::FlowEntry final : public FlowControl {
         supports_programs_(supports_programs) {}
 
   Algorithm& alg() { return *alg_; }
-  const std::vector<std::string>& field_names() const { return field_names_; }
+  /// The installed program's layout. Handlers hold their own reference:
+  /// an algorithm that reinstalls mid-handler replaces this one.
+  const std::shared_ptr<const PreparedProgram>& layout() const { return layout_; }
 
-  /// Install round-trip bookkeeping: do_install() stamps, the first
+  /// Install round-trip bookkeeping: send_install() stamps, the first
   /// report that arrives afterwards closes the loop (there is no
   /// install-ack message; the next report proves the program is live).
   uint64_t take_install_sent_ns() {
@@ -104,22 +142,33 @@ class CcpAgent::FlowEntry final : public FlowControl {
 
   void install(const lang::Program& program,
                std::span<const std::pair<std::string, double>> vars) override {
-    // Copy so policy rewriting does not mutate the caller's AST.
-    lang::Program rewritten = program;
-    do_install(std::move(rewritten), vars);
+    if (!supports_programs_) {
+      install_direct(vars);
+      return;
+    }
+    // prepare() takes a copy, so policy rewriting leaves the caller's
+    // AST alone.
+    send_install(prepare(program, agent_->config_.policy), vars);
   }
 
   void install_text(std::string program_text,
                     std::span<const std::pair<std::string, double>> vars) override {
-    do_install(lang::parse_program(program_text), vars);
+    if (!supports_programs_) {
+      // Malformed text still throws, as on a programmable datapath.
+      (void)lang::parse_program(program_text);
+      install_direct(vars);
+      return;
+    }
+    send_install(agent_->prepare_text(program_text), vars);
   }
 
   void update_fields(std::span<const std::pair<std::string, double>> vars) override {
     if (!supports_programs_) {
       // Refresh the remembered bindings, then issue direct commands.
+      const auto& var_names = layout_->var_names;
       for (const auto& [name, value] : vars) {
-        for (size_t i = 0; i < installed_var_names_.size(); ++i) {
-          if (installed_var_names_[i] == name) {
+        for (size_t i = 0; i < var_names.size(); ++i) {
+          if (var_names[i] == name) {
             last_var_values_[i] = value;
             break;
           }
@@ -130,11 +179,12 @@ class CcpAgent::FlowEntry final : public FlowControl {
     }
     ipc::UpdateFieldsMsg msg;
     msg.flow_id = info_.id;
-    msg.var_values.assign(installed_var_names_.size(), 0.0);
-    for (size_t i = 0; i < installed_var_names_.size(); ++i) {
+    const auto& var_names = layout_->var_names;
+    msg.var_values.assign(var_names.size(), 0.0);
+    for (size_t i = 0; i < var_names.size(); ++i) {
       bool found = false;
       for (const auto& [name, value] : vars) {
-        if (name == installed_var_names_[i]) {
+        if (name == var_names[i]) {
           msg.var_values[i] = value;
           found = true;
           break;
@@ -198,44 +248,40 @@ class CcpAgent::FlowEntry final : public FlowControl {
     }
   }
 
-  void do_install(lang::Program prog,
-                  std::span<const std::pair<std::string, double>> vars) {
-    if (!supports_programs_) {
-      // Limited datapath: fixed report layout, direct control only.
-      field_names_ = ipc::prototype_field_names();
-      installed_var_names_.clear();
-      for (const auto& [name, value] : vars) {
-        installed_var_names_.push_back(name);
-      }
-      last_var_values_.clear();
-      for (const auto& [name, value] : vars) last_var_values_.push_back(value);
-      translate_to_direct(vars);
-      return;
+  /// Limited datapath: fixed report layout, direct control only.
+  void install_direct(std::span<const std::pair<std::string, double>> vars) {
+    auto layout = std::make_shared<PreparedProgram>();
+    layout->field_names = ipc::prototype_field_names();
+    last_var_values_.clear();
+    for (const auto& [name, value] : vars) {
+      layout->var_names.push_back(name);
+      last_var_values_.push_back(value);
     }
-    apply_policy(prog, agent_->config_.policy);
-    // Reject bad programs here, before they ever reach the datapath.
-    lang::check_or_throw(prog);
+    layout_ = std::move(layout);
+    translate_to_direct(vars);
+  }
 
+  void send_install(std::shared_ptr<const PreparedProgram> prog,
+                    std::span<const std::pair<std::string, double>> vars) {
     ipc::InstallMsg msg;
     msg.flow_id = info_.id;
-    msg.program_text = lang::print_program(prog);
+    msg.program_text = prog->text;
     msg.vector_mode = vector_mode_requested_;
     for (const auto& [name, value] : vars) {
       msg.var_names.push_back(name);
       msg.var_values.push_back(value);
     }
 
-    // Remember layout for decoding subsequent reports. Crucially,
-    // installed_var_names_ must follow the *program's* variable order
-    // (prog.vars), because UpdateFieldsMsg is positional in that order —
-    // not in whatever order the algorithm happened to list bindings.
-    field_names_.clear();
-    for (const auto& reg : prog.folds) field_names_.push_back(reg.name);
-    installed_var_names_ = prog.vars;
-    last_var_values_.assign(installed_var_names_.size(), 0.0);
-    for (size_t i = 0; i < installed_var_names_.size(); ++i) {
+    // Remember the layout for decoding subsequent reports. Crucially,
+    // last_var_values_ follows the *program's* variable order, because
+    // UpdateFieldsMsg is positional in that order — not in whatever
+    // order the algorithm happened to list bindings.
+    layout_ = std::move(prog);
+    const auto& var_names = layout_->var_names;
+    last_var_values_.assign(var_names.size(), 0.0);
+    for (size_t i = 0; i < var_names.size(); ++i) {
       for (const auto& [name, value] : vars) {
-        if (name == installed_var_names_[i]) {
+        if (name == var_names[i]) {
           last_var_values_[i] = value;
           break;
         }
@@ -257,8 +303,7 @@ class CcpAgent::FlowEntry final : public FlowControl {
   FlowInfo info_;
   std::unique_ptr<Algorithm> alg_;
   bool supports_programs_;
-  std::vector<std::string> field_names_;
-  std::vector<std::string> installed_var_names_;
+  std::shared_ptr<const PreparedProgram> layout_ = empty_layout();
   std::vector<double> last_var_values_;
   bool vector_mode_requested_ = false;
   uint64_t install_sent_ns_ = 0;
@@ -276,6 +321,24 @@ void CcpAgent::register_algorithm(const std::string& name, AlgorithmFactory fact
 Algorithm* CcpAgent::algorithm(ipc::FlowId id) {
   auto* slot = flows_.find(id);
   return slot == nullptr ? nullptr : &(*slot)->alg();
+}
+
+std::shared_ptr<const PreparedProgram> CcpAgent::prepare_text(
+    std::string_view text) {
+  if (auto it = prepared_index_.find(text); it != prepared_index_.end()) {
+    prepared_.splice(prepared_.begin(), prepared_, it->second);  // most recent
+    return it->second->prog;
+  }
+  // Throws before anything is cached: a rejected text fails the same way
+  // on every install.
+  auto prog = prepare(lang::parse_program(text), config_.policy);
+  prepared_.push_front(PreparedEntry{std::string(text), prog});
+  prepared_index_.emplace(prepared_.front().key, prepared_.begin());
+  while (prepared_.size() > lang::kDefaultProgramCacheCapacity) {
+    prepared_index_.erase(prepared_.back().key);
+    prepared_.pop_back();
+  }
+  return prog;
 }
 
 void CcpAgent::send(const ipc::Message& msg) {
@@ -424,7 +487,8 @@ void CcpAgent::on_measurement(const ipc::MeasurementMsg& msg) {
     current_span_.emit_ns = msg.emitted_ns;
     current_span_.agent_recv_ns = t0;
   }
-  Measurement m(&entry.field_names(), &msg);
+  const std::shared_ptr<const PreparedProgram> layout = entry.layout();
+  Measurement m(&layout->field_names, &msg);
   entry.alg().on_measurement(entry, m);
   current_span_ = telemetry::SpanStamp{};
   if (t0 != 0) {
@@ -459,7 +523,8 @@ void CcpAgent::on_urgent(const ipc::UrgentMsg& msg) {
   // reallocated, per urgent.
   urgent_view_.flow_id = msg.flow_id;
   urgent_view_.fields.assign(msg.fields.begin(), msg.fields.end());
-  Measurement m(&entry.field_names(), &urgent_view_);
+  const std::shared_ptr<const PreparedProgram> layout = entry.layout();
+  Measurement m(&layout->field_names, &urgent_view_);
   entry.alg().on_urgent(entry, msg.kind, m);
   current_span_ = telemetry::SpanStamp{};
   if (t0 != 0) {

@@ -6,10 +6,14 @@
 #pragma once
 
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "agent/algorithm.hpp"
 #include "ipc/wire.hpp"
@@ -43,6 +47,9 @@ struct AgentStats {
   uint64_t flows_resynced = 0;  // rebuilt from replayed FlowSummary msgs
 };
 
+/// A program as the agent prepared it under its policy (agent.cc).
+struct PreparedProgram;
+
 class CcpAgent {
  public:
   /// Outgoing-frame callback; bytes are borrowed (copy to keep).
@@ -69,6 +76,10 @@ class CcpAgent {
   /// Algorithm instance for a flow (tests/introspection); null if absent.
   Algorithm* algorithm(ipc::FlowId id);
 
+  /// Program texts currently held prepared (tests/introspection). Bounded
+  /// by lang::kDefaultProgramCacheCapacity, the datapath cache's bound.
+  size_t prepared_programs() const { return prepared_.size(); }
+
  private:
   class FlowEntry;
 
@@ -78,6 +89,10 @@ class CcpAgent {
   void on_close(const ipc::FlowCloseMsg& msg);
   void on_flow_summary(const ipc::FlowSummaryMsg& msg);
   void send(const ipc::Message& msg);
+  /// Parses, policy-rewrites, checks, and prints `text` once per distinct
+  /// text; later calls return the cached result. Throws (and caches
+  /// nothing) for a malformed or rejected program.
+  std::shared_ptr<const PreparedProgram> prepare_text(std::string_view text);
   /// Copies the active control-loop span (the report/urgent currently
   /// being handled) onto an outgoing command, stamping the send time.
   /// No-op outside a handler or when the report carried no span.
@@ -89,6 +104,19 @@ class CcpAgent {
   util::FlatMap<ipc::FlowId, std::unique_ptr<FlowEntry>> flows_;
   AgentStats stats_;
   uint64_t expected_resync_token_ = 0;  // 0 = accept any
+
+  // prepare_text's LRU, keyed by the raw program text (front = most
+  // recent; the index views the list nodes' keys, stable across
+  // splices). Sound because the policy is fixed for the agent's
+  // lifetime. Eviction drops only the cache's reference: flows keep
+  // theirs.
+  struct PreparedEntry {
+    std::string key;
+    std::shared_ptr<const PreparedProgram> prog;
+  };
+  std::list<PreparedEntry> prepared_;
+  std::unordered_map<std::string_view, std::list<PreparedEntry>::iterator>
+      prepared_index_;
 
   // Hot-path scratch, reused across frames (see CcpDatapath for the
   // reentrancy discipline around rx_busy_).

@@ -84,7 +84,6 @@ CcpFlow::CcpFlow(ipc::FlowId id, FlowConfig config, MessageSink sink,
   // once per process, not once per flow.
   program_ = lang::compile_text_shared(kDefaultProgram);
   fold_.install(program_.get(), {});
-  refresh_batch_exec();
   watchdog_enabled_ =
       !config_.agent_timeout.is_zero() || config_.watchdog_rtts > 0;
 }
@@ -133,7 +132,6 @@ void CcpFlow::reset_for_reuse(ipc::FlowId id, const FlowConfig& config) {
   last_agent_contact_ = TimePoint{};
   fallback_entered_ = TimePoint{};
   vector_samples_.clear();
-  refresh_batch_exec();
 }
 
 Duration CcpFlow::srtt() const {
@@ -252,35 +250,6 @@ void CcpFlow::on_ack(const AckEvent& ev) {
   fold_event(ev.now, ps);
 }
 
-void CcpFlow::ack_prepare(const AckEvent& ev) {
-  measure_ack(ev);
-  ++hot_->acks_since_report;
-  ++hot_->acks_folded_total;
-  // The watchdog can swap in the fallback program, so the batch runner
-  // groups lanes by program only after prepare. (In practice an expired
-  // deadline peels the lane to the scalar path before reaching here —
-  // fallback entry emits messages, which only the scalar path may do
-  // mid-sequence — so this stays the one-branch fast path.)
-  check_watchdog(ev.now);
-}
-
-void CcpFlow::ack_finish(bool urgent, TimePoint now) {
-  // Damping: at most one urgent notification per report interval. During
-  // a large loss episode every ACK can mark new losses; the agent only
-  // needs to hear about the episode once per control period (its own
-  // response cadence, §2.3), not once per ACK.
-  if (urgent && !hot_->urgent_since_report) {
-    hot_->urgent_since_report = true;
-    emit_urgent(last_pkt_.was_timeout != 0.0  ? ipc::UrgentKind::Timeout
-                : last_pkt_.lost_packets > 0  ? ipc::UrgentKind::Loss
-                : last_pkt_.ecn != 0.0        ? ipc::UrgentKind::Ecn
-                                              : ipc::UrgentKind::FoldUrgent);
-  }
-  // Steady-state fast path: while a control wait is pending, run_control
-  // would return immediately — skip the call.
-  if (!hot_->waiting || now >= hot_->wait_until) run_control(now);
-}
-
 void CcpFlow::on_loss(const LossEvent& ev) {
   if (telemetry::enabled()) telemetry::metrics().dp_loss_events.inc();
   lang::PktInfo pkt;
@@ -318,7 +287,20 @@ void CcpFlow::fold_event(TimePoint now, telemetry::ProfSample* ps) {
   if (ps) ps->watchdog = telemetry::prof_cycles();
   const bool urgent = fold_.on_packet(last_pkt_);
   if (ps) ps->fold = telemetry::prof_cycles();
-  ack_finish(urgent, now);
+  // Damping: at most one urgent notification per report interval. During
+  // a large loss episode every ACK can mark new losses; the agent only
+  // needs to hear about the episode once per control period (its own
+  // response cadence, §2.3), not once per ACK.
+  if (urgent && !hot_->urgent_since_report) {
+    hot_->urgent_since_report = true;
+    emit_urgent(last_pkt_.was_timeout != 0.0  ? ipc::UrgentKind::Timeout
+                : last_pkt_.lost_packets > 0  ? ipc::UrgentKind::Loss
+                : last_pkt_.ecn != 0.0        ? ipc::UrgentKind::Ecn
+                                              : ipc::UrgentKind::FoldUrgent);
+  }
+  // Steady-state fast path: while a control wait is pending, run_control
+  // would return immediately — skip the call.
+  if (!hot_->waiting || now >= hot_->wait_until) run_control(now);
   if (ps) {
     ps->done = telemetry::prof_cycles();
     telemetry::prof_commit(*ps, fold_.jit_active());
@@ -430,8 +412,7 @@ void CcpFlow::run_control(TimePoint now) {
         const double us = fold_.eval_control_arg(control_pc_, last_pkt_);
         hot_->waiting = true;
         advance_pc_on_resume_ = true;
-        hot_->wait_until =
-            now + Duration::from_nanos(static_cast<int64_t>(std::max(0.0, us) * 1000));
+        hot_->wait_until = now + Duration::from_nanos_f(std::max(0.0, us) * 1000.0);
         return;  // pc advances when the wait expires
       }
       case lang::ControlInstr::Op::WaitRtts: {
@@ -564,7 +545,6 @@ void CcpFlow::install_compiled(std::shared_ptr<const lang::CompiledProgram> prog
     vector_samples_.reserve(
         std::min<size_t>(config_.max_vector_samples, 1024) * kVectorFieldsPerPkt);
   }
-  refresh_batch_exec();
   agent_has_programmed_ = true;
   if (in_fallback_) record_fallback_exit(now);
   last_agent_contact_ = now;

@@ -11,9 +11,8 @@
 //               only per-flow state the per-ACK path touches. Slot i's
 //               hot block lives at hot_chunks_[i >> shift][i & mask] for
 //               the life of the table — addresses are stable because
-//               chunks never move, so CcpFlow keeps a plain pointer and
-//               the batch runner's SoA gather reads straight out of the
-//               slab.
+//               chunks never move, so CcpFlow keeps a plain pointer into
+//               the slab.
 //
 //   cold slab   chunks of CcpFlow storage (config, estimator rings, fold
 //               machine, resync scratch). Constructed in place on first
@@ -133,7 +132,7 @@ class FlowTable {
     return nullptr;
   }
 
-  /// find() plus prefetch dedup for the batch intake pipeline: sets
+  /// find() plus prefetch dedup for the burst intake pipeline: sets
   /// `fresh` to true iff this is the first find_mark() for the flow with
   /// this `stamp` value (and records the stamp in its bucket — one store
   /// to a line the probe just loaded). A Zipf-hot flow resolved a dozen
@@ -174,7 +173,7 @@ class FlowTable {
   }
 
   /// Pulls the index bucket line(s) for `id` toward cache ahead of the
-  /// find() a few ACKs later — the batch runner's intake pipeline uses
+  /// find() a few ACKs later — the burst intake pipeline uses
   /// this so a million-flow table probes mostly-warm lines.
   void prefetch(ipc::FlowId id) const {
     if (cur_.empty()) return;

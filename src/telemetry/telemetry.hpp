@@ -103,14 +103,15 @@ struct Metrics {
   Counter dp_flow_closes;        // FlowTable closes (slots parked)
   Counter dp_flow_rehash_steps;  // bounded incremental-rehash migration steps
 
-  // -- cross-flow batch execution (datapath/ack_batch.cc) --
-  // Occupancy = lanes_sum / lanes_total waves. simd/scalar split how each
-  // lane's fold actually executed: packed batch kernel vs any scalar-lane
-  // form (batch-interpreter lane, per-lane fold, peeled full-scalar ACK).
-  Counter dp_batch_lanes_sum;     // lanes summed over all batch waves
-  Counter dp_batch_waves;         // batch waves executed
-  Counter dp_batch_simd_lanes;    // lanes folded by a packed SIMD kernel
-  Counter dp_batch_scalar_lanes;  // lanes folded scalar (incl. peeled)
+  // -- burst intake (CcpDatapath::on_ack_batch) --
+  // One wave per intake chunk of up to 32 ACKs; lanes_sum / waves is the
+  // mean chunk size. Every lane runs the scalar per-ACK path, so
+  // scalar_lanes == lanes_sum and simd_lanes stays 0; the benchmark
+  // (ccpbench) reads all four.
+  Counter dp_batch_lanes_sum;     // ACKs summed over all intake chunks
+  Counter dp_batch_waves;         // intake chunks run
+  Counter dp_batch_simd_lanes;    // always 0: no packed fold engine
+  Counter dp_batch_scalar_lanes;  // ACKs run through the scalar path
 
   // -- ipc / transports --
   Counter ipc_ring_full;       // shm ring rejected a frame (backpressure)

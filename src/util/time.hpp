@@ -20,12 +20,25 @@ class Duration {
   static constexpr Duration from_micros(int64_t us) { return Duration(us * 1000); }
   static constexpr Duration from_millis(int64_t ms) { return Duration(ms * 1'000'000); }
   static constexpr Duration from_secs(int64_t s) { return Duration(s * 1'000'000'000); }
-  static constexpr Duration from_secs_f(double s) {
-    return Duration(static_cast<int64_t>(s * 1e9));
+  static constexpr Duration from_secs_f(double s) { return from_nanos_f(s * 1e9); }
+  /// Saturating double -> Duration: values past the int64 range clamp to
+  /// max()/min() and NaN reads as zero, where a plain cast would be
+  /// undefined. This is the conversion for every duration a program
+  /// value computes (control waits, watchdog thresholds).
+  static constexpr Duration from_nanos_f(double ns) {
+    // 2^63 is exact as a double; every double below it fits in int64.
+    constexpr double kLimit = 9223372036854775808.0;
+    if (ns != ns) return zero();  // NaN
+    if (ns >= kLimit) return max();
+    if (ns <= -kLimit) return min();
+    return Duration(static_cast<int64_t>(ns));
   }
   static constexpr Duration zero() { return Duration(0); }
   static constexpr Duration max() {
     return Duration(std::numeric_limits<int64_t>::max());
+  }
+  static constexpr Duration min() {
+    return Duration(std::numeric_limits<int64_t>::min());
   }
 
   constexpr int64_t nanos() const { return ns_; }
@@ -38,8 +51,9 @@ class Duration {
 
   constexpr Duration operator+(Duration o) const { return Duration(ns_ + o.ns_); }
   constexpr Duration operator-(Duration o) const { return Duration(ns_ - o.ns_); }
+  /// Saturating (see from_nanos_f).
   constexpr Duration operator*(double k) const {
-    return Duration(static_cast<int64_t>(static_cast<double>(ns_) * k));
+    return from_nanos_f(static_cast<double>(ns_) * k);
   }
   constexpr Duration operator/(int64_t k) const { return Duration(ns_ / k); }
   constexpr double operator/(Duration o) const {
@@ -67,12 +81,29 @@ class TimePoint {
   constexpr int64_t nanos() const { return ns_; }
   constexpr double secs() const { return static_cast<double>(ns_) * 1e-9; }
 
-  constexpr TimePoint operator+(Duration d) const { return TimePoint(ns_ + d.nanos()); }
-  constexpr TimePoint operator-(Duration d) const { return TimePoint(ns_ - d.nanos()); }
+  /// Saturating at max()/the int64 floor: a deadline computed from a
+  /// huge program-supplied wait lands on "never", not wrapped into the
+  /// past.
+  constexpr TimePoint operator+(Duration d) const {
+    int64_t r = 0;
+    if (__builtin_add_overflow(ns_, d.nanos(), &r)) {
+      return d.is_negative() ? TimePoint(std::numeric_limits<int64_t>::min())
+                             : max();
+    }
+    return TimePoint(r);
+  }
+  constexpr TimePoint operator-(Duration d) const {
+    int64_t r = 0;
+    if (__builtin_sub_overflow(ns_, d.nanos(), &r)) {
+      return d.is_negative() ? max()
+                             : TimePoint(std::numeric_limits<int64_t>::min());
+    }
+    return TimePoint(r);
+  }
   constexpr Duration operator-(TimePoint o) const {
     return Duration::from_nanos(ns_ - o.ns_);
   }
-  TimePoint& operator+=(Duration d) { ns_ += d.nanos(); return *this; }
+  TimePoint& operator+=(Duration d) { return *this = *this + d; }
   constexpr auto operator<=>(const TimePoint&) const = default;
 
  private:

@@ -2,6 +2,8 @@
 
 #include "agent/agent.hpp"
 #include "agent/transport_loop.hpp"
+#include "lang/compiler.hpp"
+#include "lang/error.hpp"
 #include "lang/parser.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -356,6 +358,128 @@ TEST(Agent, FlowSummaryForKnownFlowIsIgnored) {
 }
 
 // --- adaptive idle backoff (transport_loop.hpp) ---
+
+// --- prepare-once Install cache ---------------------------------------
+
+/// Installs `text(flow id)` at init and records what it sees: the
+/// decoded `acked` register per measurement, and the message of any
+/// ProgramError the install raised.
+class TextProbe final : public Algorithm {
+ public:
+  struct Shared {
+    std::vector<double> acked;
+    std::vector<std::string> errors;
+  };
+  TextProbe(Shared* shared, std::string text) : shared_(shared), text_(std::move(text)) {}
+  std::string_view name() const override { return "text"; }
+  AlgorithmTraits traits() const override { return {}; }
+  void init(FlowControl& flow) override {
+    try {
+      flow.install_text(text_, std::vector<std::pair<std::string, double>>{
+                                   {"cwnd", 20000.0}, {"r", 5e9}});
+    } catch (const lang::ProgramError& e) {
+      shared_->errors.push_back(e.what());
+    }
+  }
+  void on_measurement(FlowControl&, const Measurement& m) override {
+    shared_->acked.push_back(m.get("acked", -1));
+  }
+  void on_urgent(FlowControl&, ipc::UrgentKind, const Measurement&) override {}
+
+ private:
+  Shared* shared_;
+  std::string text_;
+};
+
+/// A valid program whose text differs per `n` (its WaitRtts constant).
+std::string numbered_program(int n) {
+  return "fold { x := Pkt.rtt init 0; volatile acked := acked + "
+         "Pkt.bytes_acked init 0; }\n"
+         "control { Cwnd($cwnd); Rate($r); WaitRtts(" +
+         std::to_string(n + 1) + ".0); Report(); }";
+}
+
+struct CacheHarness {
+  Harness h;
+  TextProbe::Shared shared;
+  explicit CacheHarness(AgentConfig cfg = {}) : h(std::move(cfg)) {
+    h.agent->register_algorithm("text", [this](const FlowInfo& info) {
+      // Flow id n installs program n; id >= 1000 installs program 0.
+      const int n = info.id >= 1000 ? 0 : static_cast<int>(info.id);
+      return std::make_unique<TextProbe>(&shared, numbered_program(n));
+    });
+  }
+};
+
+TEST(AgentInstallCache, CachedInstallIsByteIdenticalIncludingPolicy) {
+  const bool saved = telemetry::enabled();
+  telemetry::set_enabled(false);  // emitted_ns stays 0 on both installs
+  AgentConfig cfg;
+  cfg.policy.max_rate_bps = 1e6;
+  cfg.policy.min_cwnd_bytes = 3000;
+  cfg.policy.max_cwnd_bytes = 50000;
+  CacheHarness c(cfg);
+  c.h.deliver(create(1000, "text"));
+  c.h.deliver(create(1001, "text"));
+  telemetry::set_enabled(saved);
+  EXPECT_TRUE(c.shared.errors.empty());
+  auto installs = c.h.sent_of<ipc::InstallMsg>();
+  ASSERT_EQ(installs.size(), 2u);
+  EXPECT_EQ(c.h.agent->prepared_programs(), 1u);
+  // Policy clamps are in the (cached) printed text.
+  EXPECT_NE(installs[1].program_text.find("1000000"), std::string::npos);
+  EXPECT_NE(installs[1].program_text.find("50000"), std::string::npos);
+  EXPECT_NE(installs[1].program_text.find("3000"), std::string::npos);
+  EXPECT_EQ(installs[0].flow_id, 1000u);
+  EXPECT_EQ(installs[1].flow_id, 1001u);
+  installs[1].flow_id = installs[0].flow_id;
+  EXPECT_EQ(ipc::encode_frame(ipc::Message{installs[0]}),
+            ipc::encode_frame(ipc::Message{installs[1]}));
+}
+
+TEST(AgentInstallCache, RejectedProgramIsNotCachedAndFailsAlike) {
+  for (const char* text : {"fold { x := Pkt.rtt / 0 init 0; }\n"
+                            "control { WaitRtts(1.0); Report(); }",
+                            "fold { x := := init 0; }"}) {
+    Harness h;
+    TextProbe::Shared shared;
+    h.agent->register_algorithm("bad", [&shared, text](const FlowInfo&) {
+      return std::make_unique<TextProbe>(&shared, std::string(text));
+    });
+    for (ipc::FlowId id = 1; id <= 3; ++id) h.deliver(create(id, "bad"));
+    ASSERT_EQ(shared.errors.size(), 3u) << text;
+    EXPECT_EQ(shared.errors[1], shared.errors[0]);
+    EXPECT_EQ(shared.errors[2], shared.errors[0]);
+    EXPECT_EQ(h.agent->prepared_programs(), 0u);
+    EXPECT_TRUE(h.sent_of<ipc::InstallMsg>().empty());
+  }
+}
+
+TEST(AgentInstallCache, DistinctTextsStayWithinCapacity) {
+  CacheHarness c;
+  const int cap = static_cast<int>(lang::kDefaultProgramCacheCapacity);
+  for (int n = 1; n <= cap + 1; ++n) {
+    c.h.deliver(create(static_cast<ipc::FlowId>(n), "text"));
+  }
+  EXPECT_EQ(c.h.sent_of<ipc::InstallMsg>().size(), static_cast<size_t>(cap + 1));
+  EXPECT_EQ(c.h.agent->prepared_programs(), lang::kDefaultProgramCacheCapacity);
+}
+
+TEST(AgentInstallCache, EvictedLayoutStillDecodesReports) {
+  CacheHarness c;
+  c.h.deliver(create(1, "text"));  // program 1, then evicted below
+  const int cap = static_cast<int>(lang::kDefaultProgramCacheCapacity);
+  for (int n = 2; n <= cap + 1; ++n) {
+    c.h.deliver(create(static_cast<ipc::FlowId>(n), "text"));
+  }
+  ASSERT_EQ(c.h.agent->prepared_programs(), lang::kDefaultProgramCacheCapacity);
+  ipc::MeasurementMsg m;
+  m.flow_id = 1;
+  m.fields = {7.0, 4321.0};  // [x, acked]
+  c.h.deliver(m);
+  ASSERT_EQ(c.shared.acked.size(), 1u);
+  EXPECT_DOUBLE_EQ(c.shared.acked[0], 4321.0);
+}
 
 TEST(AdaptiveBackoff, DoublesFromFloorToCapAndResets) {
   AdaptiveBackoff b;  // 50 us floor, 1 ms cap

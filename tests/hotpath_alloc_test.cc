@@ -412,12 +412,10 @@ TEST(HotPathAlloc, JitSteadyStateIsAllocationFree) {
 }
 
 TEST(HotPathAlloc, BatchModeSteadyStateIsAllocationFree) {
-  // Cross-flow batch intake (on_ack_batch): the runner's SoA staging
-  // buffers grow to the largest program during warm-up and are then
-  // reused forever. Steady state — 32-ACK bursts over two program groups,
-  // gathered, folded by the packed batch kernel (or batch interpreter),
-  // scattered, finished — must be exactly as allocation-free as the
-  // scalar per-ACK path, with full telemetry (per-wave counters) on.
+  // Burst intake (on_ack_batch): 32-ACK bursts over flows running two
+  // different programs, prefetched a chunk ahead and run through the
+  // scalar per-ACK path, must be exactly as allocation-free as per-ACK
+  // calls, with full telemetry (per-chunk counters) on.
   const lang::jit::JitMode saved_mode = lang::jit::mode();
   lang::jit::set_mode(lang::jit::JitMode::On);
   telemetry::set_enabled(true);
@@ -435,8 +433,7 @@ TEST(HotPathAlloc, BatchModeSteadyStateIsAllocationFree) {
   for (size_t i = 0; i < kFlows; ++i) {
     ids.push_back(dp.create_flow(fcfg, "reno", now).id());
   }
-  // Half the flows get a second program so every wave carries two groups
-  // (group-split bookkeeping is part of what must stay alloc-free).
+  // Half the flows get a second program so every burst mixes programs.
   ipc::InstallMsg ins;
   ins.program_text =
       "fold { r := r + Pkt.bytes_acked init 0;\n"
@@ -477,23 +474,18 @@ TEST(HotPathAlloc, BatchModeSteadyStateIsAllocationFree) {
   drive_batch(kWarmupAcks);
   ASSERT_GT(frames, 0u);
   ASSERT_GT(telemetry::metrics().dp_batch_waves.value(), 0u)
-      << "workload must actually run through the batch runner";
-  if (lang::jit::simd_available()) {
-    ASSERT_GT(telemetry::metrics().dp_batch_simd_lanes.value(), 0u)
-        << "pure-arithmetic groups must fold in the packed kernel";
-  }
+      << "workload must actually run through the burst intake";
 
   const uint64_t allocs =
       count_allocs_during([&] { drive_batch(kMeasuredAcks); });
   lang::jit::set_mode(saved_mode);
   EXPECT_EQ(allocs, 0u)
-      << "batch SoA gather/fold/scatter allocated in steady state";
+      << "burst intake allocated in steady state";
 }
 
 TEST(HotPathAlloc, BatchInterpreterSteadyStateIsAllocationFree) {
-  // Same batch workload with the JIT off: groups execute through
-  // eval_block_batch instead of the packed kernel. The interpreter path
-  // shares the SoA staging, so it must hold the same invariant.
+  // Same burst workload with the JIT off: every fold runs the
+  // interpreter, which must hold the same invariant.
   const lang::jit::JitMode saved_mode = lang::jit::mode();
   lang::jit::set_mode(lang::jit::JitMode::Off);
 
@@ -542,7 +534,7 @@ TEST(HotPathAlloc, BatchInterpreterSteadyStateIsAllocationFree) {
       count_allocs_during([&] { drive_batch(kMeasuredAcks); });
   lang::jit::set_mode(saved_mode);
   EXPECT_EQ(allocs, 0u)
-      << "batch interpreter path allocated in steady state";
+      << "interpreted burst intake allocated in steady state";
 }
 
 TEST(HotPathAlloc, JitVerifySteadyStateIsAllocationFree) {

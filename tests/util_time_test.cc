@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <ostream>
 
 #include "util/time.hpp"
@@ -52,6 +54,38 @@ TEST(TimePoint, Arithmetic) {
   TimePoint t2 = t0;
   t2 += Duration::from_secs(1);
   EXPECT_DOUBLE_EQ(t2.secs(), 1.0);
+}
+
+TEST(Duration, DoubleConversionsSaturate) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Duration::from_nanos_f(1e300), Duration::max());
+  EXPECT_EQ(Duration::from_nanos_f(inf), Duration::max());
+  EXPECT_EQ(Duration::from_nanos_f(-1e300), Duration::min());
+  EXPECT_EQ(Duration::from_nanos_f(std::nan("")), Duration::zero());
+  // 2^63 itself is out of range; the largest double below it is not.
+  EXPECT_EQ(Duration::from_nanos_f(9223372036854775808.0), Duration::max());
+  EXPECT_EQ(Duration::from_nanos_f(9223372036854774784.0).nanos(),
+            9223372036854774784LL);
+  EXPECT_EQ(Duration::from_nanos_f(1500.9).nanos(), 1500);
+  EXPECT_EQ(Duration::from_millis(10) * 1e300, Duration::max());
+  EXPECT_EQ(Duration::from_millis(10) * inf, Duration::max());
+  EXPECT_EQ(Duration::from_millis(10) * -inf, Duration::min());
+  EXPECT_EQ(Duration::from_millis(10) * 2.5, Duration::from_millis(25));
+  EXPECT_EQ(Duration::from_secs_f(1e300), Duration::max());
+}
+
+TEST(TimePoint, DeadlineAdditionSaturates) {
+  const TimePoint now = TimePoint::epoch() + Duration::from_secs(5);
+  EXPECT_EQ(now + Duration::max(), TimePoint::max());
+  EXPECT_EQ(TimePoint::max() + Duration::from_nanos(1), TimePoint::max());
+  EXPECT_LT(now - Duration::max(), TimePoint::epoch());
+  EXPECT_EQ((now - Duration::max()) - Duration::max(),
+            TimePoint::from_nanos(std::numeric_limits<int64_t>::min()));
+  TimePoint t = now;
+  t += Duration::max();
+  EXPECT_EQ(t, TimePoint::max());
+  // In-range arithmetic is unchanged.
+  EXPECT_EQ((now + Duration::from_millis(3)).nanos(), 5'003'000'000);
 }
 
 TEST(TimePoint, MonotonicNowAdvances) {

@@ -8,8 +8,8 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
+#include "scenario/topology.hpp"
 #include "sim/ccp_host.hpp"
-#include "sim/dumbbell.hpp"
 
 namespace {
 
@@ -18,8 +18,8 @@ using namespace ccp::sim;
 
 double run(Duration rtt, Duration ipc_delay, double rate_bps) {
   EventQueue q;
-  auto cfg = DumbbellConfig::make(rate_bps, rtt, 1.0);
-  Dumbbell net(q, cfg);
+  scenario::Network net(q, {{.rate_bps = rate_bps, .delay = rtt / 2}},
+                        /*seed=*/1);
   const double secs = std::max(4.0, rtt.secs() * 2000);
   const TimePoint end = TimePoint::epoch() + Duration::from_secs_f(secs);
   CcpHostConfig hcfg;

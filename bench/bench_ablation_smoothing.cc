@@ -9,8 +9,8 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
+#include "scenario/topology.hpp"
 #include "sim/ccp_host.hpp"
-#include "sim/dumbbell.hpp"
 
 namespace {
 
@@ -27,8 +27,11 @@ struct RunOutput {
 RunOutput run(const std::string& alg, bool smooth, double rate_bps,
               double buffer_bdp) {
   EventQueue q;
-  auto cfg = DumbbellConfig::make(rate_bps, Duration::from_millis(10), buffer_bdp);
-  Dumbbell net(q, cfg);
+  scenario::Network net(q,
+                        {{.rate_bps = rate_bps,
+                          .delay = Duration::from_millis(5),
+                          .buffer_bdp = buffer_bdp}},
+                        /*seed=*/1);
   const TimePoint end = TimePoint::epoch() + Duration::from_secs(15);
   SimCcpHost host(q, CcpHostConfig{});
   datapath::FlowConfig fcfg{};
@@ -40,8 +43,8 @@ RunOutput run(const std::string& alg, bool smooth, double rate_bps,
   auto& snd = net.add_flow(TcpSenderConfig{}, &flow, TimePoint::epoch());
   q.run_until(end);
   return {snd.delivered_bytes() * 8.0 / 15 / 1e6, snd.stats().timeouts,
-          net.bottleneck().stats().dropped_pkts,
-          net.bottleneck().stats().max_queue_bytes / 1500.0};
+          net.hop(0).stats().dropped_pkts,
+          net.hop(0).stats().max_queue_bytes / 1500.0};
 }
 
 }  // namespace

@@ -14,8 +14,8 @@
 #include "agent/aggregate.hpp"
 #include "algorithms/native/native_reno.hpp"
 #include "bench/bench_common.hpp"
+#include "scenario/topology.hpp"
 #include "sim/ccp_host.hpp"
-#include "sim/dumbbell.hpp"
 
 namespace {
 
@@ -31,8 +31,8 @@ struct Result {
 
 Result run(bool aggregated, std::vector<double> weights) {
   EventQueue q;
-  auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
-  Dumbbell net(q, cfg);
+  scenario::Network net(
+      q, {{.rate_bps = 50e6, .delay = Duration::from_millis(5)}}, /*seed=*/1);
   SimCcpHost host(q, CcpHostConfig{});
 
   agent::AggregateGroup group;

@@ -13,8 +13,8 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
+#include "scenario/topology.hpp"
 #include "sim/ccp_host.hpp"
-#include "sim/dumbbell.hpp"
 
 namespace {
 
@@ -30,8 +30,8 @@ struct RunOutput {
 template <typename Host>
 RunOutput run(const std::string& alg) {
   EventQueue q;
-  auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
-  Dumbbell net(q, cfg);
+  scenario::Network net(
+      q, {{.rate_bps = 50e6, .delay = Duration::from_millis(5)}}, /*seed=*/1);
   Host host(q, CcpHostConfig{});
   auto& flow = host.create_flow(datapath::FlowConfig{1460, 10 * 1460}, alg);
   const TimePoint end = TimePoint::epoch() + Duration::from_secs(12);

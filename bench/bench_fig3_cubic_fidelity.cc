@@ -16,8 +16,8 @@
 #include "algorithms/native/native_cubic.hpp"
 #include "bench/bench_common.hpp"
 #include "bench/bench_json.hpp"
+#include "scenario/topology.hpp"
 #include "sim/ccp_host.hpp"
-#include "sim/dumbbell.hpp"
 #include "sim/trace.hpp"
 #include "util/series.hpp"
 
@@ -40,8 +40,7 @@ struct RunOutput {
 
 RunOutput run(bool use_ccp, uint64_t seed) {
   EventQueue q;
-  auto cfg = DumbbellConfig::make(kRateBps, kRtt, 1.0);
-  Dumbbell net(q, cfg);
+  scenario::Network net(q, {{.rate_bps = kRateBps, .delay = kRtt / 2}}, seed);
   const TimePoint end = TimePoint::epoch() + Duration::from_secs_f(kDurationSecs);
 
   TcpSenderConfig scfg;
@@ -56,9 +55,12 @@ RunOutput run(bool use_ccp, uint64_t seed) {
 
   auto finish = [&](TcpSender& snd, const char* name) {
     q.run_until(measure_from);
-    net.mark_utilization_epoch();
+    const uint64_t from_bytes = net.hop(0).stats().delivered_bytes;
     q.run_until(end);
-    out.utilization = net.utilization(measure_from, end);
+    // Wire bytes through the bottleneck, so this can slightly exceed
+    // payload goodput.
+    out.utilization = (net.hop(0).stats().delivered_bytes - from_bytes) * 8.0 /
+                      (kRateBps * (end - measure_from).secs());
     out.median_rtt_ms = snd.rtt_samples().quantile(0.5) / 1000.0;
     out.loss_events = snd.stats().loss_events;
     out.summary.name = name;

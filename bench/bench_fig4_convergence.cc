@@ -12,8 +12,8 @@
 #include "algorithms/native/native_reno.hpp"
 #include "bench/bench_common.hpp"
 #include "bench/bench_json.hpp"
+#include "scenario/topology.hpp"
 #include "sim/ccp_host.hpp"
-#include "sim/dumbbell.hpp"
 #include "sim/trace.hpp"
 #include "util/series.hpp"
 
@@ -37,8 +37,7 @@ struct RunOutput {
 
 RunOutput run(bool use_ccp, uint64_t seed) {
   EventQueue q;
-  auto cfg = DumbbellConfig::make(kRateBps, kRtt, 1.0);
-  Dumbbell net(q, cfg);
+  scenario::Network net(q, {{.rate_bps = kRateBps, .delay = kRtt / 2}}, seed);
   const TimePoint end = TimePoint::epoch() + Duration::from_secs_f(kDurationSecs);
 
   algorithms::native::NativeReno native1(1460, 10 * 1460);

@@ -10,8 +10,8 @@
 #include <cstdio>
 
 #include "lang/builder.hpp"
+#include "scenario/topology.hpp"
 #include "sim/ccp_host.hpp"
-#include "sim/dumbbell.hpp"
 #include "util/units.hpp"
 
 using namespace ccp;
@@ -79,9 +79,11 @@ class DelayTarget final : public agent::Algorithm {
 
 int main() {
   sim::EventQueue events;
-  auto net_cfg =
-      sim::DumbbellConfig::make(100e6, Duration::from_millis(20), 2.0);
-  sim::Dumbbell net(events, net_cfg);
+  scenario::Network net(events,
+                        {{.rate_bps = 100e6,
+                          .delay = Duration::from_millis(10),
+                          .buffer_bdp = 2.0}},
+                        /*seed=*/1);
   sim::SimCcpHost host(events, sim::CcpHostConfig{});
 
   // Register the new algorithm — this one line is the whole deployment

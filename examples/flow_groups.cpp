@@ -10,16 +10,17 @@
 
 #include "agent/aggregate.hpp"
 #include "algorithms/native/native_reno.hpp"
+#include "scenario/topology.hpp"
 #include "sim/ccp_host.hpp"
-#include "sim/dumbbell.hpp"
 #include "util/units.hpp"
 
 using namespace ccp;
 
 int main() {
   sim::EventQueue events;
-  auto net_cfg = sim::DumbbellConfig::make(40e6, Duration::from_millis(30), 1.0);
-  sim::Dumbbell net(events, net_cfg);
+  scenario::Network net(
+      events, {{.rate_bps = 40e6, .delay = Duration::from_millis(15)}},
+      /*seed=*/1);
   sim::SimCcpHost host(events, sim::CcpHostConfig{});
 
   agent::AggregateGroup call_group;

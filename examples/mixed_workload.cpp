@@ -10,8 +10,8 @@
 //     of window by the agent (§2: per-connection maximum rates).
 #include <cstdio>
 
+#include "scenario/topology.hpp"
 #include "sim/ccp_host.hpp"
-#include "sim/dumbbell.hpp"
 #include "sim/trace.hpp"
 #include "util/units.hpp"
 
@@ -19,8 +19,9 @@ using namespace ccp;
 
 int main() {
   sim::EventQueue events;
-  auto net_cfg = sim::DumbbellConfig::make(100e6, Duration::from_millis(20), 1.0);
-  sim::Dumbbell net(events, net_cfg);
+  scenario::Network net(
+      events, {{.rate_bps = 100e6, .delay = Duration::from_millis(10)}},
+      /*seed=*/1);
 
   sim::CcpHostConfig host_cfg;
   // Host policy: no flow may hold more than ~20 Mbit/s x 20 ms of window.

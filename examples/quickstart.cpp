@@ -11,8 +11,8 @@
 #include <cstdio>
 #include <string>
 
+#include "scenario/topology.hpp"
 #include "sim/ccp_host.hpp"
-#include "sim/dumbbell.hpp"
 #include "util/units.hpp"
 
 using namespace ccp;
@@ -22,10 +22,12 @@ int main(int argc, char** argv) {
 
   // A 100 Mbit/s bottleneck with a 20 ms RTT and one BDP of buffer.
   sim::EventQueue events;
-  auto net_cfg = sim::DumbbellConfig::make(/*rate_bps=*/100e6,
-                                           Duration::from_millis(20),
-                                           /*buffer_bdp=*/1.0);
-  sim::Dumbbell net(events, net_cfg);
+  // The link's delay is one-way; the ACK path mirrors it.
+  scenario::Network net(events,
+                        {{.rate_bps = 100e6,
+                          .delay = Duration::from_millis(10),
+                          .buffer_bdp = 1.0}},
+                        /*seed=*/1);
 
   // The CCP side: a user-space agent with every built-in algorithm
   // registered, plus the datapath, wired through ~15 us of simulated IPC.

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
 
-#include "algorithms/native/native_cubic.hpp"
-#include "algorithms/native/native_dctcp.hpp"
-#include "algorithms/native/native_reno.hpp"
-#include "algorithms/native/native_vegas.hpp"
+#include "algorithms/native/make_native.hpp"
 #include "scenario/coupled.hpp"
 #include "scenario/topology.hpp"
 #include "sim/ccp_host.hpp"
@@ -18,22 +14,6 @@ namespace {
 
 constexpr uint32_t kMss = 1460;
 constexpr uint64_t kInitCwnd = 10 * kMss;
-
-std::unique_ptr<datapath::CcModule> make_native(const std::string& name) {
-  if (name == "reno") {
-    return std::make_unique<algorithms::native::NativeReno>(kMss, kInitCwnd);
-  }
-  if (name == "cubic") {
-    return std::make_unique<algorithms::native::NativeCubic>(kMss, kInitCwnd);
-  }
-  if (name == "vegas") {
-    return std::make_unique<algorithms::native::NativeVegas>(kMss, kInitCwnd);
-  }
-  if (name == "dctcp") {
-    return std::make_unique<algorithms::native::NativeDctcp>(kMss, kInitCwnd);
-  }
-  throw std::invalid_argument("unknown native baseline: " + name);
-}
 
 struct FlowRecord {
   const FlowGroupSpec* group = nullptr;
@@ -66,7 +46,7 @@ Scorecard run_scenario(const ScenarioSpec& spec) {
   sim::EventQueue events;
   // The network forks its per-hop loss streams from a seed decorrelated
   // from the host's IPC-jitter stream (both descend from spec.seed).
-  Network net(events, spec, spec.seed ^ 0xda3e39cb94b95bdbULL);
+  Network net(events, spec.links, spec.seed ^ 0xda3e39cb94b95bdbULL);
 
   sim::CcpHostConfig host_cfg;
   host_cfg.ipc_delay = spec.ipc_delay;
@@ -83,7 +63,8 @@ Scorecard run_scenario(const ScenarioSpec& spec) {
     for (uint32_t i = 0; i < group.count; ++i) {
       datapath::CcModule* cc;
       if (group.alg.rfind("native:", 0) == 0) {
-        owned_ccs.push_back(make_native(group.alg.substr(7)));
+        owned_ccs.push_back(algorithms::native::make_native(
+            group.alg.substr(7), kMss, kInitCwnd));
         cc = owned_ccs.back().get();
       } else {
         cc = &host.create_flow(datapath::FlowConfig{kMss, kInitCwnd}, group.alg);
@@ -103,7 +84,7 @@ Scorecard run_scenario(const ScenarioSpec& spec) {
       scfg.record_rtt_samples = true;
       scfg.ecn_enabled = group.ecn;
 
-      Network::Path path;
+      Path path;
       if (spec.topology == Topology::kParkingLot) {
         path.first = group.hop_first;
         path.last = group.hop_last;

@@ -110,7 +110,7 @@ FlowGroupSpec parse_group(std::istringstream& rest) {
 void ScenarioSpec::validate() const {
   if (name.empty()) bad("missing name");
   if (links.empty()) bad("at least one link required");
-  if (topology == Topology::kDumbbell && links.size() != 1) {
+  if (topology == Topology::kOneHop && links.size() != 1) {
     bad("dumbbell topology takes exactly one link");
   }
   if (groups.empty()) bad("at least one flow group required");
@@ -178,7 +178,7 @@ ScenarioSpec parse_spec(const std::string& text) {
       std::string kind;
       rest >> kind;
       if (kind == "dumbbell") {
-        spec.topology = Topology::kDumbbell;
+        spec.topology = Topology::kOneHop;
       } else if (kind == "parking_lot") {
         spec.topology = Topology::kParkingLot;
       } else {
@@ -222,7 +222,7 @@ std::string format_spec(const ScenarioSpec& spec) {
   emit("scenario %s\n", spec.name.c_str());
   if (!spec.description.empty()) emit("describe %s\n", spec.description.c_str());
   emit("topology %s\n",
-       spec.topology == Topology::kDumbbell ? "dumbbell" : "parking_lot");
+       spec.topology == Topology::kOneHop ? "dumbbell" : "parking_lot");
   emit("duration %g\n", spec.duration_secs);
   emit("seed %llu\n", static_cast<unsigned long long>(spec.seed));
   emit("ipc %lldus\n", static_cast<long long>(spec.ipc_delay.micros()));

@@ -31,7 +31,7 @@ struct LinkSpec {
   uint64_t queue_bytes = 0;        // 0 = derive from buffer_bdp
   double ecn_threshold_bdp = -1;   // <0 = ECN off
   double random_loss = 0;          // iid per-packet drop probability
-  std::vector<sim::RateChange> rate_schedule;
+  std::vector<sim::RateChange> rate_schedule{};
 
   uint64_t queue_capacity_bytes() const {
     if (queue_bytes > 0) return queue_bytes;
@@ -42,7 +42,7 @@ struct LinkSpec {
 };
 
 enum class Topology {
-  kDumbbell,    // one bottleneck hop, every flow traverses it
+  kOneHop,      // "dumbbell": one bottleneck hop, every flow traverses it
   kParkingLot,  // a chain of hops; each flow traverses [hop_first, hop_last]
 };
 
@@ -72,7 +72,7 @@ struct FlowGroupSpec {
 struct ScenarioSpec {
   std::string name;
   std::string description;
-  Topology topology = Topology::kDumbbell;
+  Topology topology = Topology::kOneHop;
   std::vector<LinkSpec> links;        // >= 1; dumbbell uses exactly one
   std::vector<FlowGroupSpec> groups;  // >= 1
   double duration_secs = 20;

@@ -6,15 +6,15 @@ namespace ccp::scenario {
 
 using sim::Packet;
 
-Network::Network(sim::EventQueue& events, const ScenarioSpec& spec,
+Network::Network(sim::EventQueue& events, const std::vector<LinkSpec>& links,
                  uint64_t seed)
     : events_(events) {
   // Per-hop loss streams fork off one master seed in hop order, so the
   // whole network's impairments replay from a single number.
   Rng master(seed);
-  hops_.reserve(spec.links.size());
-  for (size_t i = 0; i < spec.links.size(); ++i) {
-    const LinkSpec& ls = spec.links[i];
+  hops_.reserve(links.size());
+  for (size_t i = 0; i < links.size(); ++i) {
+    const LinkSpec& ls = links[i];
     sim::LinkConfig cfg;
     cfg.rate_bps = ls.rate_bps;
     cfg.prop_delay = ls.delay;
@@ -44,7 +44,7 @@ void Network::route_from_hop(size_t hop, Packet pkt) {
 
 sim::TcpSender& Network::add_flow(const sim::TcpSenderConfig& scfg,
                                   datapath::CcModule* cc, TimePoint start,
-                                  Path path, sim::TcpReceiverConfig rcfg) {
+                                  Path path) {
   const uint32_t flow_id = static_cast<uint32_t>(flows_.size());
   path.last = path.last < hops_.size() ? path.last : hops_.size() - 1;
   if (path.first > path.last) path.first = path.last;
@@ -52,6 +52,12 @@ sim::TcpSender& Network::add_flow(const sim::TcpSenderConfig& scfg,
   FlowState state;
   state.path = path;
   // Forward access pipe: half the extra RTT, then into the first hop.
+  // It stays even when that half is zero. The zero-delay hop moves each
+  // enqueue one event later at the same timestamp, and drop-tail outcomes
+  // depend on that tie order: feeding the first hop directly changes all
+  // six built-in scorecards and flips Library.RttUnfairnessFavorsShortRtt
+  // and Library.ParkingLotLongFlowPaysMultiBottleneckToll
+  // (docs/SCENARIOS.md, "Determinism").
   state.access = std::make_unique<sim::DelayPipe>(
       events_, path.extra_rtt / 2,
       [this, first = path.first](Packet pkt) { hops_[first]->enqueue(std::move(pkt)); });
@@ -67,7 +73,7 @@ sim::TcpSender& Network::add_flow(const sim::TcpSenderConfig& scfg,
       events_, flow_id, scfg, cc,
       [this, flow_id](Packet pkt) { flows_[flow_id].access->enqueue(std::move(pkt)); });
   state.receiver = std::make_unique<sim::TcpReceiver>(
-      events_, flow_id, rcfg,
+      events_, flow_id, sim::TcpReceiverConfig{},
       [this, flow_id](Packet pkt) { flows_[flow_id].reverse->enqueue(std::move(pkt)); });
 
   flows_.push_back(std::move(state));

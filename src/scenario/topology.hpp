@@ -1,11 +1,12 @@
-// Network construction for scenario topologies.
+// The one network builder every simulation runs on.
 //
-// Generalizes the dumbbell (sim/dumbbell.hpp) to a chain of bottleneck
-// hops — the classic "parking lot": hop k connects router k to router
-// k+1, each with its own rate/delay/queue/loss/rate-schedule. A flow
-// traverses the contiguous hop range [first, last] of its path; cross
-// traffic occupies a single hop while the "long" flow crosses them all.
-// With one hop this is exactly the dumbbell.
+// A chain of bottleneck hops — the classic "parking lot": hop k connects
+// router k to router k+1, each with its own rate/delay/queue/loss/
+// rate-schedule. A flow traverses the contiguous hop range [first, last]
+// of its path; cross traffic occupies a single hop while the "long" flow
+// crosses them all. With one hop and the default Path this is the
+// single-bottleneck dumbbell of the paper's Figures 3 and 4: N senders
+// share one link, and ACKs return over a delay-only reverse path.
 //
 // Per-flow access pipes add the RTT spread: flow-specific extra delay on
 // the way into the first hop, and the whole return path is a per-flow
@@ -24,25 +25,30 @@
 
 namespace ccp::scenario {
 
+/// Per-flow routing: hops [first, last] plus extra round-trip delay
+/// split evenly between the forward access pipe and the return pipe.
+/// The default is hop 0 alone with no extra delay.
+struct Path {
+  size_t first = 0;
+  size_t last = 0;
+  Duration extra_rtt = Duration::zero();
+};
+
 class Network {
  public:
-  /// Per-flow routing: hops [first, last] plus extra round-trip delay
-  /// split evenly between the forward access pipe and the return pipe.
-  struct Path {
-    size_t first = 0;
-    size_t last = 0;
-    Duration extra_rtt = Duration::zero();
-  };
-
-  /// Builds the hop chain. Per-hop loss RNG seeds derive from `seed`, so
-  /// the whole network's drop sequences are a function of one seed.
-  Network(sim::EventQueue& events, const ScenarioSpec& spec, uint64_t seed);
+  /// Builds the hop chain, one hop per link. Per-hop loss RNG seeds
+  /// derive from `seed`, so the whole network's drop sequences are a
+  /// function of one seed.
+  Network(sim::EventQueue& events, const std::vector<LinkSpec>& links,
+          uint64_t seed);
+  // Hop sinks and flow pipes capture `this`.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   /// Adds a flow with the given path; starts transmitting at `start`.
   sim::TcpSender& add_flow(const sim::TcpSenderConfig& scfg,
                            datapath::CcModule* cc, TimePoint start,
-                           Path path,
-                           sim::TcpReceiverConfig rcfg = sim::TcpReceiverConfig{});
+                           Path path = {});
 
   sim::Link& hop(size_t i) { return *hops_[i]; }
   size_t num_hops() const { return hops_.size(); }

@@ -1,8 +1,9 @@
 // Bottleneck link with a drop-tail queue and optional ECN marking.
 //
-// Models the standard dumbbell bottleneck: packets enter a FIFO byte
-// queue; the link serves them at `rate_bps` and delivers each to the
-// sink after `prop_delay`. When the queue is full the arriving packet is
+// Models one bottleneck hop (scenario::Network chains them; one hop is
+// the classic dumbbell): packets enter a FIFO byte queue; the link
+// serves them at `rate_bps` and delivers each to the sink after
+// `prop_delay`. When the queue is full the arriving packet is
 // dropped (drop-tail). If an ECN threshold is set, packets that arrive
 // to a standing queue above the threshold get their CE bit set instead
 // of (not in addition to) being dropped — the DCTCP-style marking that
@@ -98,7 +99,7 @@ class Link {
 };
 
 /// A delay-only pipe (used for the reverse/ACK path: plentiful bandwidth,
-/// no queueing — the usual dumbbell assumption).
+/// no queueing — the usual assumption — and for per-flow access delay).
 class DelayPipe {
  public:
   using Sink = std::function<void(Packet)>;

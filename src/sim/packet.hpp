@@ -9,7 +9,7 @@
 namespace ccp::sim {
 
 struct Packet {
-  uint32_t flow = 0;        // flow id, indexes the dumbbell's flow table
+  uint32_t flow = 0;        // flow id, indexes the network's flow table
   uint64_t uid = 0;         // unique per packet, for tracing
 
   // Data direction.

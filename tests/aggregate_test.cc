@@ -3,8 +3,8 @@
 
 #include "agent/aggregate.hpp"
 #include "algorithms/native/native_reno.hpp"
+#include "scenario/topology.hpp"
 #include "sim/ccp_host.hpp"
-#include "sim/dumbbell.hpp"
 
 namespace ccp {
 namespace {
@@ -25,8 +25,8 @@ struct GroupRun {
 GroupRun run_group(int n_group, std::vector<double> weights = {},
                    double secs = 25.0) {
   EventQueue q;
-  auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
-  Dumbbell net(q, cfg);
+  scenario::Network net(
+      q, {{.rate_bps = 50e6, .delay = Duration::from_millis(5)}}, /*seed=*/1);
   SimCcpHost host(q, CcpHostConfig{});
 
   agent::AggregateGroup group;

@@ -5,8 +5,8 @@
 
 #include "algorithms/registry.hpp"
 #include "datapath/prototype_datapath.hpp"
+#include "scenario/topology.hpp"
 #include "sim/ccp_host.hpp"
-#include "sim/dumbbell.hpp"
 
 namespace ccp {
 namespace {
@@ -89,8 +89,8 @@ TEST(PrototypeDatapath, AgentTranslationDrivesReno) {
   // the host. The agent never sends Install; everything arrives as
   // DirectControl, and the flow still does AIMD.
   EventQueue q;
-  auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
-  Dumbbell net(q, cfg);
+  scenario::Network net(
+      q, {{.rate_bps = 50e6, .delay = Duration::from_millis(5)}}, /*seed=*/1);
   SimPrototypeHost host(q, CcpHostConfig{});
   auto& flow = host.create_flow(datapath::FlowConfig{1460, 10 * 1460}, "reno");
   const TimePoint end = TimePoint::epoch() + Duration::from_secs(8);
@@ -108,8 +108,8 @@ TEST(PrototypeDatapath, AgentTranslationDrivesReno) {
 TEST(PrototypeDatapath, SameAlgorithmBothDatapathsComparable) {
   auto run_full = [] {
     EventQueue q;
-    auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
-    Dumbbell net(q, cfg);
+    scenario::Network net(
+        q, {{.rate_bps = 50e6, .delay = Duration::from_millis(5)}}, /*seed=*/1);
     SimCcpHost host(q, CcpHostConfig{});
     auto& flow = host.create_flow(datapath::FlowConfig{1460, 10 * 1460}, "reno");
     const TimePoint end = TimePoint::epoch() + Duration::from_secs(8);
@@ -120,8 +120,8 @@ TEST(PrototypeDatapath, SameAlgorithmBothDatapathsComparable) {
   };
   auto run_proto = [] {
     EventQueue q;
-    auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
-    Dumbbell net(q, cfg);
+    scenario::Network net(
+        q, {{.rate_bps = 50e6, .delay = Duration::from_millis(5)}}, /*seed=*/1);
     SimPrototypeHost host(q, CcpHostConfig{});
     auto& flow = host.create_flow(datapath::FlowConfig{1460, 10 * 1460}, "reno");
     const TimePoint end = TimePoint::epoch() + Duration::from_secs(8);

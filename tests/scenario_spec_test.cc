@@ -79,7 +79,7 @@ TEST(ScenarioSpecValidate, RejectsBadFields) {
   // Loss probability out of range.
   EXPECT_THROW(parse_spec("scenario s\nlink loss=1.5\ngroup alg=cubic\n"),
                std::invalid_argument);
-  // Dumbbell with two links.
+  // A dumbbell with two links.
   EXPECT_THROW(
       parse_spec("scenario s\nlink rate=1Mbps\nlink rate=1Mbps\n"
                  "group alg=cubic\n"),

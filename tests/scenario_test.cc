@@ -34,7 +34,7 @@ ScenarioSpec three_hop_spec() {
 TEST(Network, ParkingLotRoutesOnlyThroughPathHops) {
   sim::EventQueue q;
   ScenarioSpec spec = three_hop_spec();
-  Network net(q, spec, 1);
+  Network net(q, spec.links, 1);
 
   algorithms::native::NativeCubic long_cc(1460, 10 * 1460);
   algorithms::native::NativeCubic cross_cc(1460, 10 * 1460);
@@ -59,7 +59,7 @@ TEST(Network, BaseRttSumsPathAndExtra) {
   sim::EventQueue q;
   ScenarioSpec spec = three_hop_spec();
   spec.links.pop_back();  // two hops, 1 ms each
-  Network net(q, spec, 1);
+  Network net(q, spec.links, 1);
   algorithms::native::NativeCubic cc(1460, 10 * 1460);
   sim::TcpSenderConfig scfg;
   net.add_flow(scfg, &cc, TimePoint::epoch(),

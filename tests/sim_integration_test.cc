@@ -8,8 +8,8 @@
 #include "algorithms/native/native_dctcp.hpp"
 #include "algorithms/native/native_reno.hpp"
 #include "algorithms/native/native_vegas.hpp"
+#include "scenario/topology.hpp"
 #include "sim/ccp_host.hpp"
-#include "sim/dumbbell.hpp"
 
 namespace ccp::sim {
 namespace {
@@ -18,18 +18,24 @@ TimePoint at_s(double s) {
   return TimePoint::epoch() + Duration::from_secs_f(s);
 }
 
+/// The 50 Mbit/s, 10 ms RTT, 1-BDP bottleneck every test here runs on;
+/// with `ecn` it CE-marks above 20000 B of queue (0.32 BDP).
+std::vector<scenario::LinkSpec> bottleneck(bool ecn = false) {
+  return {{.rate_bps = 50e6,
+           .delay = Duration::from_millis(5),
+           .ecn_threshold_bdp = ecn ? 0.32 : -1}};
+}
+
 struct RunResult {
   double tput_mbps = 0;
   uint64_t timeouts = 0;
   uint64_t reports = 0;
 };
 
-/// One flow on a 50 Mbit/s, 10 ms, 1-BDP dumbbell for `secs` seconds.
+/// One flow on the bottleneck for `secs` seconds.
 RunResult run_ccp(const std::string& alg, double secs = 8.0, bool ecn = false) {
   EventQueue q;
-  auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0,
-                                  ecn ? 20000 : UINT64_MAX);
-  Dumbbell net(q, cfg);
+  scenario::Network net(q, bottleneck(ecn), /*seed=*/1);
   SimCcpHost host(q, CcpHostConfig{});
   auto& flow = host.create_flow(datapath::FlowConfig{1460, 10 * 1460}, alg);
   host.start(at_s(secs));
@@ -43,9 +49,7 @@ RunResult run_ccp(const std::string& alg, double secs = 8.0, bool ecn = false) {
 
 RunResult run_native(datapath::CcModule* cc, double secs = 8.0, bool ecn = false) {
   EventQueue q;
-  auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0,
-                                  ecn ? 20000 : UINT64_MAX);
-  Dumbbell net(q, cfg);
+  scenario::Network net(q, bottleneck(ecn), /*seed=*/1);
   TcpSenderConfig scfg;
   scfg.ecn_enabled = ecn;
   auto& snd = net.add_flow(scfg, cc, TimePoint::epoch());
@@ -92,8 +96,7 @@ TEST(Integration, CcpDctcpWithEcnIsLossFreeAndFast) {
 
 TEST(Integration, CcpBbrKeepsQueueEmpty) {
   EventQueue q;
-  auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
-  Dumbbell net(q, cfg);
+  scenario::Network net(q, bottleneck(), /*seed=*/1);
   SimCcpHost host(q, CcpHostConfig{});
   auto& flow = host.create_flow(datapath::FlowConfig{1460, 10 * 1460}, "bbr");
   host.start(at_s(8));
@@ -117,8 +120,7 @@ TEST(Integration, ReportsArriveOncePerRttNotPerAck) {
 
 TEST(Integration, TwoCcpFlowsShareFairly) {
   EventQueue q;
-  auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
-  Dumbbell net(q, cfg);
+  scenario::Network net(q, bottleneck(), /*seed=*/1);
   SimCcpHost host(q, CcpHostConfig{});
   auto& f1 = host.create_flow(datapath::FlowConfig{1460, 10 * 1460}, "reno");
   auto& f2 = host.create_flow(datapath::FlowConfig{1460, 10 * 1460}, "reno");
@@ -136,8 +138,7 @@ TEST(Integration, TwoCcpFlowsShareFairly) {
 
 TEST(Integration, MixedCcpAndNativeCoexist) {
   EventQueue q;
-  auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
-  Dumbbell net(q, cfg);
+  scenario::Network net(q, bottleneck(), /*seed=*/1);
   SimCcpHost host(q, CcpHostConfig{});
   auto& ccp_flow = host.create_flow(datapath::FlowConfig{1460, 10 * 1460}, "reno");
   algorithms::native::NativeReno native(1460, 10 * 1460);
@@ -156,8 +157,7 @@ TEST(Integration, MixedCcpAndNativeCoexist) {
 TEST(Integration, DifferentAlgorithmsPerFlowOnOneHost) {
   // §2: "it is possible to run multiple algorithms on the same host".
   EventQueue q;
-  auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
-  Dumbbell net(q, cfg);
+  scenario::Network net(q, bottleneck(), /*seed=*/1);
   SimCcpHost host(q, CcpHostConfig{});
   auto& f1 = host.create_flow(datapath::FlowConfig{1460, 10 * 1460}, "cubic");
   auto& f2 = host.create_flow(datapath::FlowConfig{1460, 10 * 1460}, "bbr");
@@ -173,8 +173,7 @@ TEST(Integration, DifferentAlgorithmsPerFlowOnOneHost) {
 TEST(Integration, AgentPolicyCapsRate) {
   // Host policy (§2): per-connection maximum transmission rate.
   EventQueue q;
-  auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
-  Dumbbell net(q, cfg);
+  scenario::Network net(q, bottleneck(), /*seed=*/1);
   CcpHostConfig hcfg;
   hcfg.agent.policy.max_cwnd_bytes = 20 * 1460.0;  // ~23 Mbit/s at 10 ms
   SimCcpHost host(q, hcfg);
@@ -192,8 +191,7 @@ TEST(Integration, IpcDelaySensitivity) {
   // the control loop on WAN-ish RTTs.
   for (int delay_us : {5, 50, 500}) {
     EventQueue q;
-    auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
-    Dumbbell net(q, cfg);
+    scenario::Network net(q, bottleneck(), /*seed=*/1);
     CcpHostConfig hcfg;
     hcfg.ipc_delay = Duration::from_micros(delay_us);
     SimCcpHost host(q, hcfg);
@@ -221,8 +219,7 @@ TEST(Integration, FlowCloseCleansUpBothSides) {
 TEST(Integration, DeterministicWithFixedSeed) {
   auto run_once = [] {
     EventQueue q;
-    auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
-    Dumbbell net(q, cfg);
+    scenario::Network net(q, bottleneck(), /*seed=*/1);
     CcpHostConfig hcfg;
     hcfg.seed = 7;
     SimCcpHost host(q, hcfg);

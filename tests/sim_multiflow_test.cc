@@ -7,13 +7,22 @@
 
 #include "algorithms/native/native_dctcp.hpp"
 #include "algorithms/native/native_reno.hpp"
+#include "scenario/topology.hpp"
 #include "sim/ccp_host.hpp"
-#include "sim/dumbbell.hpp"
 
 namespace ccp::sim {
 namespace {
 
 TimePoint at_s(double s) { return TimePoint::epoch() + Duration::from_secs_f(s); }
+
+/// One bottleneck with a 10 ms base RTT.
+std::vector<scenario::LinkSpec> link(double rate_bps, double buffer_bdp = 1.0,
+                                     double ecn_threshold_bdp = -1) {
+  return {{.rate_bps = rate_bps,
+           .delay = Duration::from_millis(5),
+           .buffer_bdp = buffer_bdp,
+           .ecn_threshold_bdp = ecn_threshold_bdp}};
+}
 
 double jain(const std::vector<double>& xs) {
   double sum = 0, sq = 0;
@@ -26,8 +35,7 @@ double jain(const std::vector<double>& xs) {
 
 TEST(MultiFlow, EightCcpRenoFlowsShareFairly) {
   EventQueue q;
-  auto cfg = DumbbellConfig::make(80e6, Duration::from_millis(10), 1.0);
-  Dumbbell net(q, cfg);
+  scenario::Network net(q, link(80e6), /*seed=*/1);
   SimCcpHost host(q, CcpHostConfig{});
   std::vector<TcpSender*> senders;
   for (int i = 0; i < 8; ++i) {
@@ -51,8 +59,7 @@ TEST(MultiFlow, ConservationOfBytes) {
   // What the receiver holds never exceeds what the sender transmitted,
   // and everything cumulatively acked was genuinely received.
   EventQueue q;
-  auto cfg = DumbbellConfig::make(20e6, Duration::from_millis(10), 0.5);
-  Dumbbell net(q, cfg);
+  scenario::Network net(q, link(20e6, 0.5), /*seed=*/1);
   SimCcpHost host(q, CcpHostConfig{});
   std::vector<TcpSender*> senders;
   for (int i = 0; i < 3; ++i) {
@@ -71,10 +78,7 @@ TEST(MultiFlow, ConservationOfBytes) {
 TEST(MultiFlow, DctcpEcnKeepsQueueShortUnderContention) {
   EventQueue q;
   // ECN threshold at ~0.15 BDP: DCTCP flows should hold the queue there.
-  const double bdp = 50e6 / 8 * 0.01;
-  auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 2.0,
-                                  static_cast<uint64_t>(bdp * 0.15));
-  Dumbbell net(q, cfg);
+  scenario::Network net(q, link(50e6, 2.0, 0.15), /*seed=*/1);
   SimCcpHost host(q, CcpHostConfig{});
   std::vector<TcpSender*> senders;
   for (int i = 0; i < 4; ++i) {
@@ -90,7 +94,7 @@ TEST(MultiFlow, DctcpEcnKeepsQueueShortUnderContention) {
   double total = 0;
   for (auto* snd : senders) total += snd->delivered_bytes() * 8.0 / 15 / 1e6;
   EXPECT_GT(total, 35.0);  // well-utilized
-  EXPECT_GT(net.bottleneck().stats().marked_pkts, 0u);
+  EXPECT_GT(net.hop(0).stats().marked_pkts, 0u);
   // The whole point of DCTCP: losses stay rare because ECN acts first.
   uint64_t timeouts = 0;
   for (auto* snd : senders) timeouts += snd->stats().timeouts;
@@ -101,8 +105,7 @@ TEST(MultiFlow, DctcpEcnKeepsQueueShortUnderContention) {
 
 TEST(MultiFlow, LateJoinerGetsItsShare) {
   EventQueue q;
-  auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
-  Dumbbell net(q, cfg);
+  scenario::Network net(q, link(50e6), /*seed=*/1);
   SimCcpHost host(q, CcpHostConfig{});
   auto& f1 = host.create_flow(datapath::FlowConfig{1460, 10 * 1460}, "reno");
   auto& f2 = host.create_flow(datapath::FlowConfig{1460, 10 * 1460}, "reno");
@@ -120,8 +123,7 @@ TEST(MultiFlow, LateJoinerGetsItsShare) {
 TEST(MultiFlow, ManyFlowsDeterministic) {
   auto run_once = [] {
     EventQueue q;
-    auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
-    Dumbbell net(q, cfg);
+    scenario::Network net(q, link(50e6), /*seed=*/1);
     CcpHostConfig hcfg;
     hcfg.seed = 1234;
     SimCcpHost host(q, hcfg);
@@ -143,10 +145,7 @@ TEST(MultiFlow, ManyFlowsDeterministic) {
 
 TEST(MultiFlow, NativeAndCcpDctcpCoexistOnEcn) {
   EventQueue q;
-  const double bdp = 50e6 / 8 * 0.01;
-  auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 2.0,
-                                  static_cast<uint64_t>(bdp * 0.2));
-  Dumbbell net(q, cfg);
+  scenario::Network net(q, link(50e6, 2.0, 0.2), /*seed=*/1);
   SimCcpHost host(q, CcpHostConfig{});
   auto& ccp_flow = host.create_flow(datapath::FlowConfig{1460, 10 * 1460}, "dctcp");
   algorithms::native::NativeDctcp native(1460, 10 * 1460);

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "algorithms/native/native_reno.hpp"
-#include "sim/dumbbell.hpp"
+#include "scenario/topology.hpp"
 #include "sim/tcp.hpp"
 
 namespace ccp::sim {
@@ -295,8 +295,8 @@ TEST(TcpSender, KarnRuleSkipsRetransmittedSamples) {
 
 TEST(TcpEndToEnd, WindowLimitedTransferIsLossless) {
   EventQueue q;
-  auto cfg = DumbbellConfig::make(10e6, Duration::from_millis(10), 1.0);
-  Dumbbell net(q, cfg);
+  scenario::Network net(
+      q, {{.rate_bps = 10e6, .delay = Duration::from_millis(5)}}, /*seed=*/1);
   // A fixed window below BDP can never overflow the queue.
   FixedWindow cc(5 * 1460);
   TcpSenderConfig scfg;
@@ -307,15 +307,18 @@ TEST(TcpEndToEnd, WindowLimitedTransferIsLossless) {
   EXPECT_EQ(net.receiver(0).received_bytes(), 500u * 1460u);
   EXPECT_EQ(snd.stats().timeouts, 0u);
   EXPECT_EQ(snd.stats().retransmits, 0u);
-  EXPECT_EQ(net.bottleneck().stats().dropped_pkts, 0u);
+  EXPECT_EQ(net.hop(0).stats().dropped_pkts, 0u);
 }
 
 TEST(TcpEndToEnd, SurvivesSevereBufferPressure) {
   EventQueue q;
   // A tiny ~2-packet buffer forces heavy loss; the transfer must still
   // complete correctly.
-  auto cfg = DumbbellConfig::make(10e6, Duration::from_millis(10), 0.25);
-  Dumbbell net(q, cfg);
+  scenario::Network net(q,
+                        {{.rate_bps = 10e6,
+                          .delay = Duration::from_millis(5),
+                          .buffer_bdp = 0.25}},
+                        /*seed=*/1);
   algorithms::native::NativeReno reno(1460, 10 * 1460);
   TcpSenderConfig scfg;
   scfg.bytes_to_send = 300 * 1460;
@@ -329,8 +332,8 @@ TEST(TcpEndToEnd, SurvivesSevereBufferPressure) {
 TEST(TcpEndToEnd, DeterministicAcrossRuns) {
   auto run_once = [] {
     EventQueue q;
-    auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
-    Dumbbell net(q, cfg);
+    scenario::Network net(
+        q, {{.rate_bps = 50e6, .delay = Duration::from_millis(5)}}, /*seed=*/1);
     algorithms::native::NativeReno reno(1460, 10 * 1460);
     auto& snd = net.add_flow(TcpSenderConfig{}, &reno, TimePoint::epoch());
     q.run_until(at_ms(2000));

@@ -15,21 +15,18 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "algorithms/native/native_cubic.hpp"
-#include "algorithms/native/native_dctcp.hpp"
-#include "algorithms/native/native_reno.hpp"
-#include "algorithms/native/native_vegas.hpp"
+#include "algorithms/native/make_native.hpp"
 #include "algorithms/registry.hpp"
+#include "scenario/topology.hpp"
 #include "sim/ccp_host.hpp"
-#include "sim/dumbbell.hpp"
 #include "sim/trace.hpp"
 #include "telemetry/stats_server.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_export.hpp"
-#include "util/rng.hpp"
 #include "util/series.hpp"
 #include "util/units.hpp"
 
@@ -148,24 +145,6 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-std::unique_ptr<datapath::CcModule> make_native(const std::string& name,
-                                                uint32_t mss, uint64_t init_cwnd) {
-  if (name == "reno") {
-    return std::make_unique<algorithms::native::NativeReno>(mss, init_cwnd);
-  }
-  if (name == "cubic") {
-    return std::make_unique<algorithms::native::NativeCubic>(mss, init_cwnd);
-  }
-  if (name == "vegas") {
-    return std::make_unique<algorithms::native::NativeVegas>(mss, init_cwnd);
-  }
-  if (name == "dctcp") {
-    return std::make_unique<algorithms::native::NativeDctcp>(mss, init_cwnd);
-  }
-  std::fprintf(stderr, "unknown native baseline: %s\n", name.c_str());
-  std::exit(1);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -180,17 +159,15 @@ int main(int argc, char** argv) {
   }
 
   EventQueue events;
-  const double bdp_bytes = opt.rate_bps / 8.0 * opt.rtt.secs();
-  auto net_cfg = DumbbellConfig::make(
-      opt.rate_bps, opt.rtt, opt.buffer_bdp,
-      opt.ecn_threshold_bdp >= 0
-          ? static_cast<uint64_t>(bdp_bytes * opt.ecn_threshold_bdp)
-          : UINT64_MAX);
-  net_cfg.bottleneck.random_loss = opt.loss;
-  // The loss stream forks off --seed so a run replays bit-for-bit, but is
-  // decorrelated from the host's IPC-jitter stream (same parent seed).
-  net_cfg.bottleneck.loss_seed = Rng(opt.seed).next_u64();
-  Dumbbell net(events, net_cfg);
+  // The loss stream is the first fork of --seed, so a run replays
+  // bit-for-bit but is decorrelated from the host's IPC-jitter stream.
+  scenario::Network net(events,
+                        {{.rate_bps = opt.rate_bps,
+                          .delay = opt.rtt / 2,
+                          .buffer_bdp = opt.buffer_bdp,
+                          .ecn_threshold_bdp = opt.ecn_threshold_bdp,
+                          .random_loss = opt.loss}},
+                        opt.seed);
 
   CcpHostConfig host_cfg;
   host_cfg.ipc_delay = opt.ipc_delay;
@@ -206,7 +183,13 @@ int main(int argc, char** argv) {
   for (const auto& spec : opt.flows) {
     datapath::CcModule* cc;
     if (spec.native) {
-      natives.push_back(make_native(spec.alg, 1460, 10 * 1460));
+      try {
+        natives.push_back(
+            algorithms::native::make_native(spec.alg, 1460, 10 * 1460));
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+      }
       cc = natives.back().get();
     } else {
       cc = &host.create_flow(datapath::FlowConfig{1460, 10 * 1460}, spec.alg);
@@ -236,7 +219,7 @@ int main(int argc, char** argv) {
             });
       } else if (opt.csv == "queue") {
         tracer.sample_every("queue", Duration::from_millis(50), end,
-                            [&net] { return net.bottleneck().queue_bytes() / 1500.0; });
+                            [&net] { return net.hop(0).queue_bytes() / 1500.0; });
       } else {
         std::fprintf(stderr, "unknown csv series: %s\n", opt.csv.c_str());
         return 1;
@@ -276,7 +259,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(senders[i]->stats().retransmits),
                 static_cast<unsigned long long>(senders[i]->stats().timeouts));
   }
-  const auto& link = net.bottleneck().stats();
+  const auto& link = net.hop(0).stats();
   std::printf("\nbottleneck: %llu pkts delivered, %llu dropped (%llu random), "
               "%llu ECN-marked, max queue %.1f pkts\n",
               static_cast<unsigned long long>(link.delivered_pkts),
